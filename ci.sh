@@ -40,6 +40,11 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo test --release (orb + netsim: push delivery under optimized timing)"
+# Frames are handled on whichever thread holds them; release builds
+# change that timing, and release is where races show.
+cargo test --release -q -p orb -p netsim
+
 echo "==> metrics golden (per-layer metric names must stay stable)"
 cargo test -q -p maqs --test metrics_golden
 

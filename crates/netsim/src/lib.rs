@@ -15,9 +15,11 @@
 //! * **Failure injection** — node crashes, link partitions and probabilistic
 //!   message drops, needed by the fault-tolerance characteristic (E4).
 //!
-//! Messages are delivered through in-process channels immediately (wall
-//! clock), while the *virtual* delivery time models what a real network
-//! with the configured link characteristics would have done.
+//! Messages are delivered immediately (wall clock) into each node's inbox
+//! queue, or — once the node installed a sink with
+//! [`NetHandle::set_sink`] — straight into that callback on the sending
+//! thread. The *virtual* delivery time models what a real network with
+//! the configured link characteristics would have done.
 //!
 //! # Example
 //!

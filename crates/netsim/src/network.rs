@@ -34,7 +34,9 @@ impl fmt::Display for SendError {
 impl std::error::Error for SendError {}
 
 struct NodeEntry {
-    sender: Sender<Message>,
+    /// The node's inbox: a queue by default, a push callback once the
+    /// node's handle installed a sink ([`NetHandle::set_sink`]).
+    sender: Arc<Sender<Message>>,
 }
 
 struct LinkState {
@@ -157,19 +159,26 @@ impl NetworkInner {
         }
         st.stats.record_delivered(src, dst, payload.len(), deliver_vt.saturating_since(send_vt));
         let msg = Message { src, dst, seq, send_vt, deliver_vt, payload };
-        // Receiver may have dropped its handle; that is equivalent to a
-        // crashed node from the sender's perspective.
-        let _ = st.nodes[&dst].sender.send(msg);
+        let inbox = Arc::clone(&st.nodes[&dst].sender);
+        // Every decision (faults, loss, seq, timing) is made; deliver
+        // with the fabric unlocked, so a receiver's sink runs on this
+        // thread without serializing the rest of the network. Sends from
+        // one thread arrive in `seq` order; sends racing from several
+        // threads of one node may arrive interleaved. A receiver that
+        // dropped its handle is equivalent to a crashed node from the
+        // sender's perspective.
+        drop(st);
+        let _ = inbox.send(msg);
         Ok(())
     }
 
     /// Deliver an empty wakeup message to `dst`'s own inbox, bypassing
     /// faults, loss, and link scheduling (see [`NetHandle::poke`]).
     pub(crate) fn poke(&self, dst: NodeId, clock: &VirtualClock) {
-        let st = self.lock();
-        if let Some(node) = st.nodes.get(&dst) {
+        let inbox = self.lock().nodes.get(&dst).map(|node| Arc::clone(&node.sender));
+        if let Some(inbox) = inbox {
             let now = clock.now();
-            let _ = node.sender.send(Message {
+            let _ = inbox.send(Message {
                 src: dst,
                 dst,
                 seq: 0,
@@ -227,7 +236,7 @@ impl Network {
         let mut st = self.inner.lock();
         let id = NodeId(st.next_id);
         st.next_id += 1;
-        st.nodes.insert(id, NodeEntry { sender: tx });
+        st.nodes.insert(id, NodeEntry { sender: Arc::new(tx) });
         NetHandle {
             id,
             name: Arc::from(name),
@@ -552,6 +561,33 @@ mod tests {
         assert_eq!(m.src, a.id());
         assert_eq!(m.dst, a.id());
         assert_eq!(net.stats().total_bytes(), 0, "pokes are not traffic");
+    }
+
+    #[test]
+    fn sink_runs_on_the_sender_and_advances_the_receiver_clock() {
+        let net = Network::new(1);
+        let a = net.attach("a");
+        let b = net.attach("b");
+        let three_ms = VirtualDuration::from_millis(3);
+        net.set_link(a.id(), b.id(), LinkModel::perfect().with_latency(three_ms));
+        a.send(b.id(), vec![0]).unwrap(); // queued before the sink exists
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink_seen = Arc::clone(&seen);
+        let me = std::thread::current().id();
+        assert!(b.set_sink(Box::new(move |m: Message| {
+            assert_eq!(std::thread::current().id(), me, "sink runs on the sending thread");
+            sink_seen.lock().unwrap().push((m.seq, m.payload[0]));
+        })));
+        for i in 1..4u8 {
+            a.send(b.id(), vec![i]).unwrap();
+        }
+        assert_eq!(*seen.lock().unwrap(), vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
+        assert_eq!(b.now(), VirtualInstant::ZERO + three_ms);
+        assert_eq!(b.try_recv(), Err(crate::RecvError::Disconnected));
+        // Loss is still decided at send time: nothing reaches the sink.
+        net.set_link_directed(a.id(), b.id(), LinkModel::perfect().with_loss(1.0));
+        a.send(b.id(), vec![9]).unwrap();
+        assert_eq!(seen.lock().unwrap().len(), 4);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The per-node handle returned by [`crate::Network::attach`].
 
 use crate::bytes::Bytes;
-use crate::channel::{Receiver, RecvError};
+use crate::channel::{Receiver, RecvError, Sink};
 use crate::message::{Message, NodeId};
 use crate::network::{NetworkInner, SendError};
 use crate::time::{VirtualClock, VirtualInstant};
@@ -76,6 +76,24 @@ impl NetHandle {
     /// event-driven alternative to polling `recv_timeout` in a loop.
     pub fn poke(&self) {
         self.net.poke(self.id, &self.clock);
+    }
+
+    /// Push every message for this node into `sink` instead of the inbox
+    /// queue. The sink runs on the *sending* thread, after the network
+    /// has made every per-message decision (faults, loss, link `seq`,
+    /// timing) and released its lock; this node's virtual clock advances
+    /// to the message's delivery time just before the sink sees it.
+    /// Messages already queued are handed over first, in order. The sink
+    /// must return promptly and must not send (it may run while another
+    /// node's send is in progress). A handle installs at most one sink;
+    /// later calls return `false`. Afterwards [`NetHandle::recv`] and
+    /// friends report [`RecvError::Disconnected`].
+    pub fn set_sink(&self, sink: Sink<Message>) -> bool {
+        let clock = self.clock.clone();
+        self.inbox.divert(Box::new(move |msg: Message| {
+            clock.advance_to(msg.deliver_vt);
+            sink(msg);
+        }))
     }
 
     /// Block until a message arrives. Advances the virtual clock to the

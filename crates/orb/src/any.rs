@@ -129,9 +129,10 @@ impl fmt::Display for TypeCode {
 }
 
 /// A self-describing value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Any {
-    /// No value (operation results of `void` operations).
+    /// No value (operation results of `void` operations); the default.
+    #[default]
     Void,
     /// Boolean.
     Bool(bool),
@@ -334,12 +335,6 @@ impl Any {
             Any::Struct(_, fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
             _ => None,
         }
-    }
-}
-
-impl Default for Any {
-    fn default() -> Any {
-        Any::Void
     }
 }
 

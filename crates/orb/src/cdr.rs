@@ -63,7 +63,7 @@ impl CdrEncoder {
 
     fn align(&mut self, n: usize) {
         let pad = (n - self.buf.len() % n) % n;
-        self.buf.extend(std::iter::repeat(0u8).take(pad));
+        self.buf.extend(std::iter::repeat_n(0u8, pad));
     }
 
     /// Pad with zero octets so the next write starts on an `n`-byte

@@ -3,11 +3,13 @@
 //! Each [`Orb`] owns one [`WireTransport`] (its "host" — the
 //! deterministic simulator by default, real sockets via
 //! [`Orb::start_wire`]), an object adapter, a QoS binding layer, and a
-//! pseudo-object registry. A background **receive loop** reads framed
-//! packets off the wire; requests are queued to
-//! a small dispatcher pool (so a servant may itself make outbound calls
-//! without deadlocking the loop), replies are correlated back to waiting
-//! callers.
+//! pseudo-object registry. The transport **pushes** every inbound frame
+//! into the ORB's one frame entry point on the thread that already holds
+//! it (the sender's thread on netsim, a connection's reader thread on
+//! sockets; see [`WireTransport::deliver`]). That handler never blocks
+//! and never sends: requests are queued to a small dispatcher pool (so a
+//! servant may itself make outbound calls), replies are correlated back
+//! to waiting callers and their waiter woken directly.
 //!
 //! The send path implements the client half of Fig. 3:
 //!
@@ -41,12 +43,12 @@ use crate::pseudo::PseudoObjectRegistry;
 use crate::trace::{self, TraceContext, TRACE_CONTEXT_ID};
 use crate::qos_binding::QosTransport;
 use crate::sync::{LockRank, OrderedCondvar, OrderedMutex};
-use crate::wire::{Endpoint, NetSimTransport, WireFrame, WireTransport};
+use crate::wire::{Endpoint, NetSimTransport, WireError, WireFrame, WireTransport};
 use netsim::channel::{unbounded, Receiver, Sender};
 use netsim::{Bytes, NetHandle, Network, NodeId};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,7 +56,7 @@ use std::time::{Duration, Instant};
 /// Prefix marking object keys that resolve in the pseudo-object registry.
 pub const PSEUDO_KEY_PREFIX: &str = "pseudo:";
 
-/// How the receive loop spreads incoming requests across the
+/// How the frame handler spreads incoming requests across the
 /// per-dispatcher queues ([`OrbConfig::dispatch_routing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchRouting {
@@ -76,18 +78,13 @@ pub struct OrbConfig {
     /// Short-circuit collocated QoS-unaware calls into the local adapter.
     pub collocated_shortcut: bool,
     /// Number of dispatcher threads executing incoming requests. Each
-    /// dispatcher owns a private queue; the receive loop routes into
+    /// dispatcher owns a private queue; the frame handler routes into
     /// them per [`OrbConfig::dispatch_routing`], so dispatchers never
     /// contend on a shared work channel.
     pub dispatch_threads: usize,
     /// Request-to-dispatcher routing policy (default
     /// [`DispatchRouting::KeyAffinity`]).
     pub dispatch_routing: DispatchRouting,
-    /// Maximum frames the receive loop drains from the transport inbox
-    /// per wakeup (≥ 1) before flushing per-dispatcher batches. Larger
-    /// values amortize queue wakeups under load; light-load latency is
-    /// unaffected because draining stops the moment the inbox is empty.
-    pub recv_batch: usize,
     /// Trace-sampling period consulted by [`Orb::trace_sampled`]: attach
     /// a [`TraceContext`] to every `n`-th request. `1` (the default)
     /// traces everything, `0` traces nothing. Metrics are unconditional
@@ -106,12 +103,15 @@ impl Default for OrbConfig {
             collocated_shortcut: true,
             dispatch_threads: 1,
             dispatch_routing: DispatchRouting::KeyAffinity,
-            recv_batch: 32,
             trace_sample_every: 1,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
+
+/// What a collecting invocation ([`Orb::invoke_collect`],
+/// [`Orb::probe_collect`]) gathered: each responder's node and outcome.
+pub type Collected = Vec<(NodeId, Result<Any, OrbError>)>;
 
 /// Counters exposed by [`Orb::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -133,7 +133,7 @@ pub struct OrbStats {
 /// unrelated request ids from serializing on one mutex.
 pub(crate) const PENDING_SHARDS: usize = 16;
 
-/// One rendezvous between a waiting caller and the receive loop.
+/// One rendezvous between a waiting caller and the frame handler.
 ///
 /// A slot belongs to exactly one caller thread (see [`current_slot`])
 /// and is reused across calls instead of allocating a channel per
@@ -150,6 +150,9 @@ struct SlotState {
     /// Request id currently armed on this slot; `0` = disarmed.
     armed: u64,
     queue: VecDeque<ReplyMessage>,
+    /// Waiters parked on the condvar right now; `push` notifies only
+    /// when there is one (a futex wake is a syscall even with no waiter).
+    sleepers: u32,
 }
 
 impl ReplySlot {
@@ -157,7 +160,7 @@ impl ReplySlot {
         ReplySlot {
             state: OrderedMutex::new(
                 LockRank::ReplySlot,
-                SlotState { armed: 0, queue: VecDeque::new() },
+                SlotState { armed: 0, queue: VecDeque::new(), sleepers: 0 },
             ),
             cvar: OrderedCondvar::new(),
         }
@@ -191,7 +194,9 @@ impl ReplySlot {
         }
         s.queue.push_back(reply);
         counted();
-        self.cvar.notify_all();
+        if s.sleepers > 0 {
+            self.cvar.notify_all();
+        }
         true
     }
 
@@ -217,7 +222,9 @@ impl ReplySlot {
             if Instant::now() >= deadline {
                 return None;
             }
+            s.sleepers += 1;
             self.cvar.wait_until(&mut s, deadline);
+            s.sleepers -= 1;
         }
     }
 }
@@ -229,9 +236,15 @@ thread_local! {
     /// so one reusable slot per thread replaces a per-call channel.
     static REPLY_SLOT: Arc<ReplySlot> = Arc::new(ReplySlot::new());
 
-    /// Receive-loop sampling counter for `transport.inbound_us` (each
-    /// ORB's receive loop is one thread, so a plain `Cell` suffices).
-    static INBOUND_SAMPLE: std::cell::Cell<u32> = std::cell::Cell::new(0);
+    /// Sampling counter for `transport.inbound_us`, per delivering
+    /// thread (a plain `Cell`: 1-in-32 per thread is 1-in-32 overall).
+    static INBOUND_SAMPLE: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+
+    /// Set while this thread runs the frame handler. The handler may
+    /// run on a foreign thread — another node's sender on netsim — so
+    /// it must never send; [`Orb::send_frame`] asserts this in debug
+    /// builds.
+    static IN_DELIVERY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 fn current_slot() -> Arc<ReplySlot> {
@@ -309,10 +322,14 @@ struct OrbInner {
     trace_counter: AtomicU64,
     metrics: MetricsRegistry,
     flight: FlightRecorder,
-    /// One private queue per dispatcher thread (sharded delivery): the
-    /// receive loop is the only sender, so each channel is effectively
-    /// SPSC and dispatchers never contend with each other for work.
+    /// One private queue per dispatcher thread (sharded delivery).
+    /// Whichever thread delivers a frame pushes into it; dispatchers
+    /// never contend with each other for work.
     dispatch_tx: Vec<Sender<DispatchCmd>>,
+    /// Next queue for [`DispatchRouting::RoundRobin`], shared by every
+    /// delivering thread (a per-frame cursor would pin all work to
+    /// queue 0).
+    rr_cursor: AtomicUsize,
 }
 
 impl OrbInner {
@@ -323,28 +340,25 @@ impl OrbInner {
 }
 
 enum DispatchCmd {
-    /// A single request — the common case under light load, kept
-    /// separate from [`DispatchCmd::Batch`] so it costs no `Vec`.
-    One(DispatchWork),
-    /// A burst of requests drained from the wire in one receive-loop
-    /// pass; one queue wakeup covers them all.
-    Batch(Vec<DispatchWork>),
+    /// One request, handed over as its frame is delivered.
+    Work(DispatchWork),
     /// Wake-and-exit sentinel; [`Orb::shutdown`] queues one per
-    /// dispatcher thread so every blocked `recv()` returns.
+    /// dispatcher thread so every blocked `recv()` returns. Work queued
+    /// before it still runs (the queue is FIFO).
     Shutdown,
 }
 
 struct DispatchWork {
     via_module: Option<String>,
-    /// The raw GIOP request body. The receive loop only peeks the
+    /// The raw GIOP request body. The frame handler only peeks the
     /// routing prefix ([`giop::peek`]); the full decode — args, QoS
-    /// params, contexts — runs on the dispatcher thread so the single
-    /// receive loop never becomes the decode bottleneck.
+    /// params, contexts — runs on the dispatcher thread, never on the
+    /// foreign thread that delivered the frame.
     body: Bytes,
     /// Modelled wire transit of the carrying message, virtual µs.
     transit_vus: u64,
-    /// When the receive loop picked the frame up; the dispatcher
-    /// observes the gap as `orb.queue_wait_us`.
+    /// When the frame was delivered; the dispatcher observes the gap as
+    /// `orb.queue_wait_us`.
     received: Instant,
 }
 
@@ -497,12 +511,21 @@ impl Orb {
             metrics: MetricsRegistry::new(),
             flight,
             dispatch_tx,
+            rr_cursor: AtomicUsize::new(0),
         });
         let orb = Orb { inner };
-        orb.spawn_receive_loop();
         for rx in dispatch_rx {
             orb.spawn_dispatcher(rx);
         }
+        // The one frame entry point. It holds the ORB weakly: the
+        // transport outlives nothing it does not own, and a frame racing
+        // the last drop is simply discarded.
+        let weak = Arc::downgrade(&orb.inner);
+        Arc::clone(&orb.inner.wire).deliver(Arc::new(move |frame: WireFrame| {
+            if let Some(inner) = weak.upgrade() {
+                Orb::deliver_frame(&inner, &frame);
+            }
+        }));
         orb
     }
 
@@ -586,7 +609,10 @@ impl Orb {
         match self.inner.config.trace_sample_every {
             0 => false,
             1 => true,
-            n => self.inner.trace_counter.fetch_add(1, Ordering::Relaxed) % u64::from(n) == 0,
+            n => {
+                let seen = self.inner.trace_counter.fetch_add(1, Ordering::Relaxed);
+                seen.is_multiple_of(u64::from(n))
+            }
         }
     }
 
@@ -829,7 +855,7 @@ impl Orb {
         qos: Option<QosContext>,
         min_replies: usize,
         timeout: Duration,
-    ) -> Result<Vec<(NodeId, Result<Any, OrbError>)>, OrbError> {
+    ) -> Result<Collected, OrbError> {
         self.invoke_collect_kind(CollectCall {
             ior,
             op,
@@ -853,7 +879,7 @@ impl Orb {
         &self,
         ior: &Ior,
         timeout: Duration,
-    ) -> Result<Vec<(NodeId, Result<Any, OrbError>)>, OrbError> {
+    ) -> Result<Collected, OrbError> {
         self.invoke_collect_kind(CollectCall {
             ior,
             op: "_non_existent",
@@ -868,7 +894,7 @@ impl Orb {
     fn invoke_collect_kind(
         &self,
         call: CollectCall<'_>,
-    ) -> Result<Vec<(NodeId, Result<Any, OrbError>)>, OrbError> {
+    ) -> Result<Collected, OrbError> {
         let CollectCall { ior, op, args, qos, min_replies, timeout, kind } = call;
         self.check_running()?;
         let _ = self.register_endpoints(ior);
@@ -971,21 +997,31 @@ impl Orb {
         reply?.into_result()
     }
 
-    /// Stop the receive loop and dispatchers. Idempotent.
+    /// Stop the ORB. Idempotent.
     ///
-    /// Both loops block on their queues rather than polling: shutdown
-    /// queues one [`DispatchCmd::Shutdown`] sentinel per dispatcher and
-    /// pokes the network handle so the blocking receive wakes at once.
+    /// From the moment the flag flips, delivered frames are dropped.
+    /// Every call still pending is failed with [`OrbError::Shutdown`]
+    /// (a reply racing this either wins the pending entry first and is
+    /// delivered, or finds it gone and is orphaned — never both). Each
+    /// dispatcher gets one [`DispatchCmd::Shutdown`] sentinel behind the
+    /// work already queued, and the transport itself stops (closing
+    /// sockets and listeners on socket backends, which also ends a
+    /// provided pump's blocking `recv`).
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        for shard in &self.inner.pending {
+            let pending: Vec<(u64, Pending)> = shard.lock().drain().collect();
+            for (id, p) in pending {
+                let failed =
+                    ReplyMessage::from_result(id, self.inner.node, Err(OrbError::Shutdown));
+                p.slot.push(id, failed, || {});
+            }
+        }
         for tx in &self.inner.dispatch_tx {
             let _ = tx.send(DispatchCmd::Shutdown);
         }
-        // Wake the blocked receive loop, then stop the transport itself
-        // (closes sockets and listeners on socket backends).
-        self.inner.wire.poke();
         self.inner.wire.shutdown();
     }
 
@@ -1066,86 +1102,16 @@ impl Orb {
     }
 
     fn send_wire(&self, dst: NodeId, frame: Vec<u8>) -> Result<(), OrbError> {
-        self.inner.wire.send(dst, frame).map_err(OrbError::from)
+        Orb::send_frame(&self.inner, dst, frame).map_err(OrbError::from)
     }
 
-    fn spawn_receive_loop(&self) -> JoinHandle<()> {
-        let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
-            .name(format!("orb-recv-{}", inner.name))
-            .spawn(move || {
-                // Event-driven: block on the wire for the first frame of
-                // a burst (`shutdown()` pokes the transport — an empty
-                // frame, the backend-independent wakeup — so the blocked
-                // recv wakes), then opportunistically drain up to
-                // `recv_batch` more frames without blocking. Requests
-                // accumulate in per-dispatcher buckets and flush as one
-                // command per dispatcher per burst; replies are matched
-                // inline.
-                let n_queues = inner.dispatch_tx.len();
-                let mut buckets: Vec<Vec<DispatchWork>> =
-                    (0..n_queues).map(|_| Vec::new()).collect();
-                let mut rr_next = 0usize;
-                let burst = inner.config.recv_batch.max(1);
-                loop {
-                    let frame = match inner.wire.recv() {
-                        Ok(f) => f,
-                        Err(_) => break,
-                    };
-                    if inner.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if !frame.payload.is_empty() {
-                        Orb::handle_frame(&inner, &frame, &mut buckets, &mut rr_next);
-                    }
-                    let mut drained = 1;
-                    // Bounded gather: when the inbox runs dry mid-burst,
-                    // yield once or twice before flushing. Under load the
-                    // senders use the donated timeslice to refill the
-                    // inbox (on single-core hosts they *cannot* send
-                    // while this loop runs), so batches grow and each
-                    // dispatcher wakeup amortizes over more requests;
-                    // idle connections never reach this path (the outer
-                    // blocking recv got a frame first), so it adds no
-                    // latency to quiet traffic.
-                    let mut gather = 2u32;
-                    while drained < burst {
-                        match inner.wire.try_recv() {
-                            Ok(Some(f)) => {
-                                if !f.payload.is_empty() {
-                                    Orb::handle_frame(&inner, &f, &mut buckets, &mut rr_next);
-                                }
-                                drained += 1;
-                            }
-                            Ok(None) => {
-                                if gather == 0 {
-                                    break;
-                                }
-                                gather -= 1;
-                                std::thread::yield_now();
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if inner.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    for (idx, bucket) in buckets.iter_mut().enumerate() {
-                        match bucket.len() {
-                            0 => {}
-                            1 => {
-                                let work = bucket.pop().expect("bucket length checked");
-                                let _ = inner.dispatch_tx[idx].send(DispatchCmd::One(work));
-                            }
-                            _ => {
-                                let batch = std::mem::take(bucket);
-                                let _ = inner.dispatch_tx[idx].send(DispatchCmd::Batch(batch));
-                            }
-                        }
-                    }
-                }
-            })
-            .expect("spawn orb receive loop")
+    /// Every frame this ORB sends goes through here.
+    fn send_frame(inner: &OrbInner, dst: NodeId, frame: Vec<u8>) -> Result<(), WireError> {
+        debug_assert!(
+            !IN_DELIVERY.with(std::cell::Cell::get),
+            "the frame handler must never send: it may run on a foreign thread"
+        );
+        inner.wire.send(dst, frame)
     }
 
     fn spawn_dispatcher(&self, rx: Receiver<DispatchCmd>) -> JoinHandle<()> {
@@ -1159,25 +1125,18 @@ impl Orb {
                 // rejected: on a single-core host the sender cannot run
                 // while the receiver spins, so polling burns exactly the
                 // timeslices the producer needs and throughput drops
-                // ~35%. Blocking immediately is strictly better; park
-                // amortization comes from batching, not spinning.)
-                loop {
-                    match rx.recv() {
-                        Ok(DispatchCmd::One(work)) => Orb::run_work(&inner, work),
-                        Ok(DispatchCmd::Batch(batch)) => {
-                            for work in batch {
-                                Orb::run_work(&inner, work);
-                            }
-                        }
-                        Ok(DispatchCmd::Shutdown) | Err(_) => break,
-                    }
+                // ~35%. Blocking immediately is strictly better; a busy
+                // dispatcher costs its producers no wake-up syscall,
+                // because the queue notifies only parked receivers.)
+                while let Ok(DispatchCmd::Work(work)) = rx.recv() {
+                    Orb::run_work(&inner, work);
                 }
             })
             .expect("spawn orb dispatcher")
     }
 
     /// Dispatcher-side entry: account queue wait, run the full GIOP
-    /// decode the receive loop skipped, then execute.
+    /// decode the frame handler skipped, then execute.
     fn run_work(inner: &Arc<OrbInner>, work: DispatchWork) {
         let DispatchWork { via_module, body, transit_vus, received } = work;
         inner
@@ -1198,18 +1157,32 @@ impl Orb {
         Orb::execute_request(inner, via_module, request, transit_vus);
     }
 
-    /// Receive-loop frame handler. Requests are *routed*, not decoded:
+    /// The ORB's one frame entry point, installed as the transport's
+    /// [`crate::wire::FrameSink`]. It runs on whichever thread holds the
+    /// frame, so it never blocks and never sends (debug builds assert
+    /// the latter). Wakeup pokes (empty payloads) and frames arriving
+    /// after [`Orb::shutdown`] started are dropped.
+    fn deliver_frame(inner: &Arc<OrbInner>, frame: &WireFrame) {
+        if frame.payload.is_empty() || inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        struct Delivering(bool);
+        impl Drop for Delivering {
+            fn drop(&mut self) {
+                IN_DELIVERY.with(|d| d.set(self.0));
+            }
+        }
+        let _restore = Delivering(IN_DELIVERY.with(|d| d.replace(true)));
+        Orb::handle_frame(inner, frame);
+    }
+
+    /// The frame handler. Requests are *routed*, not decoded:
     /// [`giop::peek`] reads only the tag and object key, the body ships
     /// raw to the dispatcher picked by `dispatch_routing`, and the full
     /// decode happens there. Replies are decoded and matched inline —
     /// the pending caller is parked on its slot and nothing else can
-    /// deliver to it.
-    fn handle_frame(
-        inner: &Arc<OrbInner>,
-        frame: &WireFrame,
-        buckets: &mut [Vec<DispatchWork>],
-        rr_next: &mut usize,
-    ) {
+    /// deliver to it — and the waiter is woken from here.
+    fn handle_frame(inner: &Arc<OrbInner>, frame: &WireFrame) {
         let src = frame.src;
         let transit_vus = frame.transit_us;
         let metrics = &inner.metrics;
@@ -1285,20 +1258,19 @@ impl Orb {
         match giop::peek(&giop_bytes) {
             Err(_) => drop_packet(),
             Ok(GiopPeek::Request { key_hash }) => {
+                let queues = inner.dispatch_tx.len();
                 let idx = match inner.config.dispatch_routing {
-                    DispatchRouting::KeyAffinity => (key_hash % buckets.len() as u64) as usize,
+                    DispatchRouting::KeyAffinity => (key_hash % queues as u64) as usize,
                     DispatchRouting::RoundRobin => {
-                        let idx = *rr_next % buckets.len();
-                        *rr_next = rr_next.wrapping_add(1);
-                        idx
+                        inner.rr_cursor.fetch_add(1, Ordering::Relaxed) % queues
                     }
                 };
-                buckets[idx].push(DispatchWork {
+                let _ = inner.dispatch_tx[idx].send(DispatchCmd::Work(DispatchWork {
                     via_module: via_module.map(str::to_owned),
                     body: giop_bytes,
                     transit_vus,
                     received,
-                });
+                }));
                 metrics.observe_us("orb.recv_route_us", received.elapsed().as_micros() as u64);
             }
             Ok(GiopPeek::Reply) => {
@@ -1443,7 +1415,7 @@ impl Orb {
             }
             None => frame_plain_reply(&reply),
         };
-        let _ = inner.wire.send(request.reply_to, frame);
+        let _ = Orb::send_frame(inner, request.reply_to, frame);
     }
 }
 
@@ -1740,7 +1712,7 @@ mod tests {
     #[test]
     fn pending_table_is_sharded_enough() {
         // The contention-relief claim in DESIGN §6d rests on this floor.
-        assert!(PENDING_SHARDS >= 8, "pending table must keep at least 8 shards");
+        const { assert!(PENDING_SHARDS >= 8, "pending table must keep at least 8 shards") };
     }
 
     /// A servant whose `slow` op outlives the client timeout, so the
@@ -1903,7 +1875,7 @@ mod tests {
         assert_eq!(client.flight().count(K::RequestSent), snap.counter("orb.requests_sent"));
         assert_eq!(client.flight().count(K::RequestSent), 9);
         assert_eq!(server.flight().count(K::RequestDispatched), 9);
-        // Reply matching is recorded on the receive loop; give it a beat.
+        // Reply matching is recorded by the frame handler; give it a beat.
         let deadline = Instant::now() + Duration::from_secs(2);
         while client.flight().count(K::ReplyMatched) < 9 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));

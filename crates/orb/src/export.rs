@@ -327,7 +327,7 @@ pub fn flight_jsonl(events: &[FlightEvent]) -> String {
     for e in events {
         let trace_id = e.trace_id.map_or_else(|| "null".to_string(), |id| id.to_string());
         let detail =
-            e.detail.as_deref().map_or_else(|| "null".to_string(), |d| json_string(d));
+            e.detail.as_deref().map_or_else(|| "null".to_string(), json_string);
         let _ = writeln!(
             out,
             "{{\"seq\":{},\"ts_us\":{},\"kind\":{},\"trace_id\":{},\"node\":{},\"layer\":{},\"detail\":{}}}",

@@ -262,12 +262,14 @@ impl Inner {
     }
 }
 
+/// One thread's staging slots, keyed by recorder id.
+type StageMap = HashMap<u64, (Weak<Inner>, Arc<Slot>)>;
+
 thread_local! {
     /// Per-thread staging slots, keyed by recorder id. A slot is created
     /// on a thread's first record into a recorder and registered with it,
     /// so readers can flush every thread's staged events.
-    static STAGE: RefCell<HashMap<u64, (Weak<Inner>, Arc<Slot>)>> =
-        RefCell::new(HashMap::new());
+    static STAGE: RefCell<StageMap> = RefCell::new(HashMap::new());
 }
 
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);

@@ -392,24 +392,25 @@ impl GiopMessage {
 pub enum GiopPeek {
     /// A request, routed by object key.
     Request {
-        /// Stable FNV-1a hash of the object-key bytes; the receive loop
+        /// Stable FNV-1a hash of the object-key bytes; the frame handler
         /// picks the dispatcher shard from it.
         key_hash: u64,
     },
-    /// A reply; the receive loop decodes it in full for matching.
+    /// A reply; the frame handler decodes it in full for matching.
     Reply,
 }
 
 /// Decode only the routing prefix of a GIOP body: the message tag
 /// (request vs reply) and, for requests, a hash of the object key.
 ///
-/// The ORB's receive loop calls this instead of
+/// The ORB's frame handler calls this instead of
 /// [`GiopMessage::from_bytes`] so the expensive part of request
 /// decoding (args, QoS params, service contexts) happens on a
-/// dispatcher thread, off the single receive loop. No allocation: the
-/// key bytes are hashed straight out of the borrowed buffer. The
-/// prefix mirrored here — tag `u8`, request id `u64`, reply-to `u32`,
-/// object-key string — must stay in lockstep with `from_bytes`;
+/// dispatcher thread, not on the thread that delivered the frame. No
+/// allocation: the key bytes are hashed straight out of the borrowed
+/// buffer. The prefix mirrored here — tag `u8`, request id `u64`,
+/// reply-to `u32`, object-key string — must stay in lockstep with
+/// `from_bytes`;
 /// `peek_agrees_with_full_decode` pins that.
 ///
 /// # Errors

@@ -106,7 +106,7 @@ pub mod prelude {
 
 pub use crate::adapter::{ObjectAdapter, Servant};
 pub use crate::any::{Any, TypeCode};
-pub use crate::core::{DispatchRouting, Orb, OrbConfig, PendingCall};
+pub use crate::core::{Collected, DispatchRouting, Orb, OrbConfig, PendingCall};
 pub use crate::error::OrbError;
 pub use crate::flight::{FlightDump, FlightEvent, FlightEventKind, FlightRecorder};
 pub use crate::ior::{Ior, ObjectKey};

@@ -40,7 +40,8 @@ pub type Outbound = Vec<(NodeId, Vec<u8>)>;
 ///
 /// Implementations must be cheap to share (`Send + Sync`); the transport
 /// holds them in `Arc`s and calls them from the ORB's send path and
-/// receive loop concurrently.
+/// frame handler concurrently. `inbound` runs on whichever thread
+/// delivered the frame, so it must not block or send.
 pub trait QosModule: Send + Sync {
     /// The module's unique name, used for binding and command addressing.
     fn name(&self) -> &str;
@@ -146,7 +147,7 @@ thread_local! {
 
     /// Per-thread L1 over the `modules` table, keyed by transport
     /// instance then module name, with the same epoch-tagging discipline
-    /// as [`L1_RESOLVE`]. The receive loop resolves the module named in
+    /// as [`L1_RESOLVE`]. The frame handler resolves the module named in
     /// every QoS envelope; without this cache each received QoS packet
     /// pays the rank-ordered admin read lock.
     #[allow(clippy::type_complexity)]

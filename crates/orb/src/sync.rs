@@ -661,8 +661,11 @@ impl Default for OrderedCondvar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(debug_assertions)]
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    // Asserts the held-rank stack, which only debug builds keep.
+    #[cfg(debug_assertions)]
     #[test]
     fn in_order_acquisition_is_allowed() {
         let outer = OrderedMutex::new(LockRank::BindingRegistry, 1u32);
@@ -678,6 +681,8 @@ mod tests {
         );
     }
 
+    // Asserts the held-rank stack, which only debug builds keep.
+    #[cfg(debug_assertions)]
     #[test]
     fn out_of_order_acquisition_panics_in_debug() {
         let inner = OrderedMutex::new(LockRank::FlightRing, ());
@@ -692,6 +697,8 @@ mod tests {
         assert!(msg.contains("500") && msg.contains("720"), "message: {msg}");
     }
 
+    // Asserts the held-rank stack, which only debug builds keep.
+    #[cfg(debug_assertions)]
     #[test]
     fn same_rank_reacquisition_panics_in_debug() {
         let a = OrderedRwLock::new(LockRank::PendingShard, ());
@@ -703,6 +710,8 @@ mod tests {
         assert!(result.is_err(), "same-rank double acquisition must panic");
     }
 
+    // Asserts the held-rank stack, which only debug builds keep.
+    #[cfg(debug_assertions)]
     #[test]
     fn release_unwinds_the_stack_even_out_of_lifo_order() {
         let low = OrderedMutex::new(LockRank::BindingRegistry, ());
@@ -730,6 +739,8 @@ mod tests {
         drop(g);
     }
 
+    // Asserts the held-rank stack, which only debug builds keep.
+    #[cfg(debug_assertions)]
     #[test]
     fn condvar_roundtrip_preserves_rank() {
         let m = std::sync::Arc::new(OrderedMutex::new(LockRank::ReplySlot, false));

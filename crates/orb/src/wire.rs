@@ -46,6 +46,11 @@
 //!
 //! * `send` delivers one frame, whole or not at all; per-peer order is
 //!   preserved while a connection lasts.
+//! * Inbound frames reach the ORB by **push**: [`WireTransport::deliver`]
+//!   hands every frame to one [`FrameSink`] on the thread that already
+//!   holds it — the sender's thread on netsim, the connection's reader
+//!   thread on TCP/UDS. Backends that only offer the pull methods get a
+//!   provided pump thread instead.
 //! * `recv` blocks; an **empty payload is a wakeup**, not traffic
 //!   (the netsim `poke()` convention, kept backend-independent).
 //! * `shutdown` is idempotent and wakes every blocked `recv`, which
@@ -347,8 +352,18 @@ pub struct WireEvent {
 /// wire locks held**, so observers may take locks of any rank.
 pub type WireObserver = Arc<dyn Fn(&WireEvent) + Send + Sync>;
 
+/// The one entry point inbound frames are pushed into
+/// ([`WireTransport::deliver`]). It runs on whichever thread holds the
+/// frame, so it must return promptly and must never send. Transports
+/// pass pokes through; the sink ignores an empty payload.
+pub type FrameSink = Arc<dyn Fn(WireFrame) + Send + Sync>;
+
+/// Frames the provided pump ([`WireTransport::deliver`]) drains without
+/// blocking after each blocking `recv`.
+const PUMP_BURST: usize = 32;
+
 /// The ORB's pluggable network boundary; see the [module docs](self).
-pub trait WireTransport: Send + Sync {
+pub trait WireTransport: Send + Sync + 'static {
     /// This transport's node identity.
     fn node(&self) -> NodeId;
 
@@ -388,11 +403,11 @@ pub trait WireTransport: Send + Sync {
     fn recv(&self) -> Result<WireFrame, WireError>;
 
     /// Take one already-queued frame without blocking; `Ok(None)` when
-    /// the inbox is empty right now. The ORB's receive loop uses this
-    /// to drain bursts after a blocking `recv` woke it, so dispatchers
-    /// get one wakeup per burst instead of one per frame. Backends
-    /// without a pollable inbox keep the default (always empty), which
-    /// degrades to frame-at-a-time delivery.
+    /// the inbox is empty right now. The provided pump
+    /// ([`WireTransport::deliver`]) uses this to drain bursts after a
+    /// blocking `recv` woke it. Backends without a pollable inbox keep
+    /// the default (always empty), which degrades to frame-at-a-time
+    /// delivery.
     ///
     /// # Errors
     ///
@@ -403,6 +418,41 @@ pub trait WireTransport: Send + Sync {
 
     /// Wake one blocked [`WireTransport::recv`] with an empty frame.
     fn poke(&self);
+
+    /// Push every inbound frame into `sink` from now on. The ORB calls
+    /// this once at start; it is the only way frames reach it.
+    ///
+    /// The provided body is a pump for backends that only implement the
+    /// pull methods: one thread blocks in [`WireTransport::recv`], then
+    /// drains up to a burst more with [`WireTransport::try_recv`]
+    /// (yielding twice when the inbox runs dry mid-burst, so senders can
+    /// refill it), feeding each frame to `sink`, until the transport
+    /// closes. The built-in backends override it to call `sink` on the
+    /// thread that already holds the frame, with no pump thread.
+    fn deliver(self: Arc<Self>, sink: FrameSink) {
+        let name = format!("wire-pump-{}", self.node().0);
+        let spawned = std::thread::Builder::new().name(name).spawn(move || {
+            while let Ok(frame) = self.recv() {
+                sink(frame);
+                let mut drained = 1;
+                let mut gather = 2u32;
+                while drained < PUMP_BURST {
+                    match self.try_recv() {
+                        Ok(Some(frame)) => {
+                            sink(frame);
+                            drained += 1;
+                        }
+                        Ok(None) if gather > 0 => {
+                            gather -= 1;
+                            std::thread::yield_now();
+                        }
+                        Ok(None) | Err(_) => break,
+                    }
+                }
+            }
+        });
+        spawned.expect("spawn wire pump");
+    }
 
     /// Stop the transport: close connections and listeners, wake every
     /// blocked `recv`. Idempotent.
@@ -507,6 +557,16 @@ impl WireTransport for NetSimTransport {
 
     fn poke(&self) {
         self.handle.poke();
+    }
+
+    /// The sink runs on the sending node's thread, inside its `send`,
+    /// after the simulator released its lock (see
+    /// [`NetHandle::set_sink`]).
+    fn deliver(self: Arc<Self>, sink: FrameSink) {
+        self.handle.set_sink(Box::new(move |msg: netsim::Message| {
+            let transit_us = msg.transit().as_micros();
+            sink(WireFrame { src: msg.src, transit_us, payload: msg.payload });
+        }));
     }
 
     fn shutdown(&self) {
@@ -806,7 +866,8 @@ impl SocketInner {
 
 /// The engine shared by [`TcpTransport`] and [`UdsTransport`]: a
 /// listener ("reactor") thread accepting peers, one reader thread per
-/// connection feeding a common inbox, and per-peer pooled connections
+/// connection feeding a common inbox — or, once the ORB installed its
+/// sink, running the sink itself — and per-peer pooled connections
 /// each drained by a writer thread from a bounded outbox
 /// ([`WireConfig`], [`BackpressurePolicy`]). Failed writes redial with
 /// capped exponential backoff + jitter across the peer's registered
@@ -950,6 +1011,14 @@ impl SocketTransport {
         self.inner.frame_errors.load(Ordering::Relaxed)
     }
 
+    /// [`WireTransport::deliver`] for the socket engine: divert the
+    /// shared inbox into `sink`, so each connection's reader thread runs
+    /// the sink on the frame it just read. Frames queued before the
+    /// switch are handed over first, in order.
+    fn divert_inbox(&self, sink: FrameSink) {
+        self.inner.inbox_rx.divert(Box::new(move |frame: WireFrame| sink(frame)));
+    }
+
     fn accept_loop(inner: &Arc<SocketInner>, listener: SocketListener) {
         loop {
             let stream = match listener.accept() {
@@ -1032,7 +1101,8 @@ impl SocketTransport {
         SocketTransport::read_frames(inner, stream, peer, &conn);
     }
 
-    /// Pump length-prefixed frames off `stream` into the inbox. A
+    /// Pump length-prefixed frames off `stream` into the inbox (or the
+    /// sink it was diverted to, on this thread). A
     /// framing violation (bad prefix, torn body) is a typed
     /// [`WireError::Frame`] that kills **this connection only**; a
     /// clean EOF just ends the reader — the write half stays pooled and
@@ -1086,9 +1156,13 @@ impl SocketTransport {
         inner.emit(FlightEventKind::WireConnReset, peer, err.to_string());
     }
 
-    /// Dial `endpoint` and send the hello; the caller wires the stream
-    /// into a connection (reader thread, ctl clone, writer).
-    fn dial_stream(inner: &Arc<SocketInner>, endpoint: &Endpoint) -> Result<SocketStream, WireError> {
+    /// Dial `endpoint`, and send the hello if `hello`; the caller wires
+    /// the stream into a connection (reader thread, ctl clone, writer).
+    fn dial_stream(
+        inner: &Arc<SocketInner>,
+        endpoint: &Endpoint,
+        hello: bool,
+    ) -> Result<SocketStream, WireError> {
         let mut stream = match endpoint {
             Endpoint::Tcp(addr) => {
                 let s = TcpStream::connect(addr)
@@ -1106,21 +1180,29 @@ impl SocketTransport {
                 )))
             }
         };
+        if hello {
+            SocketTransport::write_hello(inner, &mut stream)?;
+        }
+        Ok(stream)
+    }
+
+    /// Introduce this node on a freshly dialed stream.
+    fn write_hello(inner: &SocketInner, stream: &mut SocketStream) -> Result<(), WireError> {
         let mut hello = [0u8; 9];
         hello[0..4].copy_from_slice(&WIRE_MAGIC);
         hello[4] = WIRE_VERSION;
         hello[5..9].copy_from_slice(&inner.node.0.to_le_bytes());
-        stream.write_all(&hello).map_err(|e| WireError::Io(format!("hello: {e}")))?;
-        Ok(stream)
+        stream.write_all(&hello).map_err(|e| WireError::Io(format!("hello: {e}")))
     }
 
     /// Walk `dst`'s endpoint list health-first (fewest consecutive
-    /// failures, list order as tie-break) and dial until one answers.
-    /// Returns the stream, the endpoint, and whether the active
-    /// endpoint changed (a failover).
+    /// failures, list order as tie-break) and dial until one answers
+    /// (sending the hello if `hello`). Returns the stream, the endpoint,
+    /// and whether the active endpoint changed (a failover).
     fn dial_walk(
         inner: &Arc<SocketInner>,
         dst: NodeId,
+        hello: bool,
     ) -> Result<(SocketStream, Endpoint, bool), WireError> {
         let candidates: Vec<(usize, Endpoint)> = {
             let state = inner.state.read();
@@ -1134,7 +1216,7 @@ impl SocketTransport {
         let mut last_err =
             WireError::Unreachable(format!("no endpoint registered for node {}", dst.0));
         for (idx, endpoint) in candidates {
-            match SocketTransport::dial_stream(inner, &endpoint) {
+            match SocketTransport::dial_stream(inner, &endpoint, hello) {
                 Ok(stream) => {
                     let failover = {
                         let mut state = inner.state.write();
@@ -1189,8 +1271,12 @@ impl SocketTransport {
                 )));
             }
         }
-        // Dial outside the state lock — connects can block.
-        let (stream, endpoint, failover) = SocketTransport::dial_walk(&self.inner, dst)?;
+        // Dial outside the state lock — connects can block. Concurrent
+        // first sends may all dial; only the one that pools its stream
+        // says hello below. A hello on a stream that is then discarded
+        // would make the acceptor replace its pooled reply connection
+        // with the dead one (a fresh hello means a new incarnation).
+        let (mut stream, endpoint, failover) = SocketTransport::dial_walk(&self.inner, dst, false)?;
         let reader = stream.try_clone().map_err(|e| WireError::Io(e.to_string()))?;
         let ctl = stream.try_clone().map_err(|e| WireError::Io(e.to_string()))?;
         let conn = Arc::new(Conn::new(dst));
@@ -1216,6 +1302,12 @@ impl SocketTransport {
             // (no reader/writer were spawned for it yet).
             stream.shutdown_both();
             return Ok(existing);
+        }
+        // Frames enqueued by racing senders wait in the outbox until the
+        // writer starts, after the hello.
+        if let Err(e) = SocketTransport::write_hello(&self.inner, &mut stream) {
+            self.inner.drop_conn(dst, &conn);
+            return Err(e);
         }
         SocketTransport::attach_reader(&self.inner, &conn, reader);
         {
@@ -1305,7 +1397,7 @@ impl SocketTransport {
             if inner.closed.load(Ordering::SeqCst) || conn.closed.load(Ordering::SeqCst) {
                 return None;
             }
-            match SocketTransport::dial_walk(inner, conn.peer) {
+            match SocketTransport::dial_walk(inner, conn.peer, true) {
                 Ok((stream, endpoint, failover)) => {
                     let (reader, ctl) = match (stream.try_clone(), stream.try_clone()) {
                         (Ok(r), Ok(c)) => (r, c),
@@ -1500,6 +1592,10 @@ impl WireTransport for SocketTransport {
         });
     }
 
+    fn deliver(self: Arc<Self>, sink: FrameSink) {
+        self.divert_inbox(sink);
+    }
+
     fn shutdown(&self) {
         if self.inner.closed.swap(true, Ordering::SeqCst) {
             return;
@@ -1669,6 +1765,9 @@ macro_rules! delegate_wire {
             }
             fn poke(&self) {
                 self.core.poke()
+            }
+            fn deliver(self: Arc<Self>, sink: FrameSink) {
+                self.core.divert_inbox(sink)
             }
             fn shutdown(&self) {
                 self.core.shutdown()

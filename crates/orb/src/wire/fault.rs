@@ -145,6 +145,11 @@ impl WireFaultScript {
 /// into the send path and can stall the receive path on demand; see the
 /// [module docs](self). Wraps *any* backend — the same script runs
 /// against netsim, TCP and UDS in the conformance fault matrix.
+///
+/// Inbound frames reach the ORB through the provided pump
+/// ([`WireTransport::deliver`]) over this decorator's `recv`, never by
+/// push from the wrapped backend: a stalled reader has to be able to
+/// park frames.
 pub struct FaultyTransport {
     inner: Arc<dyn WireTransport>,
     script: WireFaultScript,
@@ -422,8 +427,8 @@ mod tests {
             f2.set_stalled(false);
         });
         // Un-stalling pokes the inner transport, so empty wakeup frames
-        // may interleave; skip them like the ORB receive loop does.
-        let mut recv_frame = || loop {
+        // may interleave; skip them like the provided wire pump does.
+        let recv_frame = || loop {
             let f = faulty.recv().unwrap();
             if !f.payload.is_empty() {
                 return f;

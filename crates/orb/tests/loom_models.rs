@@ -19,16 +19,16 @@
 //!    probes settle into a single consistent transition chain.
 //! 4. [`flight`] — flight-recorder staging flush vs. inline batch
 //!    flush: every event reaches the ring exactly once.
-//! 5. [`dispatch_queues`] — sharded dispatch handoff: the receive loop
-//!    routes batched work into per-dispatcher queues by key hash; every
-//!    item is consumed exactly once, on the right dispatcher, in per-key
-//!    order, and every dispatcher terminates (no lost shutdown).
+//! 5. [`dispatch_queues`] — push-delivery handoff: two deliverers push
+//!    into one dispatcher queue while the ORB shuts down; every frame is
+//!    executed, dropped or stranded exactly once, per-sender order
+//!    holds, and the shutdown sentinel never overtakes work.
 //!
 //! Run with `cargo test -p orb --features loom-models` (the conccheck CI
 //! lane); without the feature this file compiles to nothing.
 #![cfg(feature = "loom-models")]
 
-use conccheck::sync::atomic::{AtomicU64, Ordering};
+use conccheck::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use conccheck::sync::Mutex;
 use conccheck::{thread, Builder};
 use std::collections::{HashMap, VecDeque};
@@ -95,7 +95,7 @@ impl Slot {
 // Model 1: sharded pending table — insert / match / orphan.
 // ---------------------------------------------------------------------
 
-/// Caller registers a request then times out; the receive loop
+/// Caller registers a request then times out; the frame handler
 /// concurrently takes the entry and delivers. Mirrors
 /// `Orb::register_pending` / `unregister_pending` and the dispatch
 /// take-then-push in `core.rs`: the receiver removes the entry from the
@@ -122,7 +122,7 @@ fn pending_table_accounts_every_reply_exactly_once() {
                 let shard = Arc::clone(&shard);
                 let (matched, orphaned) = (Arc::clone(&matched), Arc::clone(&orphaned));
                 thread::spawn(move || {
-                    // Receive loop: take the entry out of its shard,
+                    // Frame handler: take the entry out of its shard,
                     // drop the shard lock, then deliver.
                     let taken = shard.lock().remove(&1);
                     let delivered = match taken {
@@ -164,7 +164,7 @@ fn pending_table_accounts_every_reply_exactly_once() {
 
 /// The exhaustive version of core.rs's `late_reply_is_orphaned_never_
 /// misdelivered` test: a caller reuses its per-thread slot for request 2
-/// after abandoning request 1, while the receive loop delivers both
+/// after abandoning request 1, while the frame handler delivers both
 /// replies late. Under every schedule, whatever the caller pops while
 /// armed for request 2 must be reply 2 — reply 1 must be refused by the
 /// armed-id guard (orphaned) or cleared by re-arming.
@@ -182,7 +182,7 @@ fn reply_slot_model(guard_armed_id: bool) {
         let slot = Arc::clone(&slot);
         let refused = Arc::clone(&refused);
         thread::spawn(move || {
-            // The receive loop catches up: late reply for the abandoned
+            // The frame handler catches up: late reply for the abandoned
             // request 1, then the live reply for request 2.
             if !slot.push(1, 10, guard_armed_id) {
                 refused.fetch_add(1, Ordering::SeqCst);
@@ -451,147 +451,136 @@ fn flight_staging_flush_delivers_every_event_exactly_once() {
 }
 
 // ---------------------------------------------------------------------
-// Model 5: sharded dispatch queues — batched handoff, exactly-once.
+// Model 5: push delivery into a dispatch queue — exactly-once, in order.
 // ---------------------------------------------------------------------
 
 /// One work item or the end-of-stream sentinel, mirroring
-/// `core::DispatchCmd` (the model folds `One`/`Batch` into how the
-/// producer *flushes* — a batch is several items pushed under one lock
-/// hold, exactly like `DispatchCmd::Batch` travels as one send).
+/// `core::DispatchCmd`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Cmd {
-    Work { key: u64, seq: u64 },
+    Work { sender: u64, seq: u64 },
     Shutdown,
 }
 
-/// Mirror of the receive loop → per-dispatcher queue handoff added for
-/// sharded delivery: the receive loop stages a burst of decoded frames
-/// into per-queue buckets (routing each by key hash), flushes every
-/// non-empty bucket as one batch — several items entering the queue
-/// under one lock hold, exactly how `DispatchCmd::Batch` travels as one
-/// send — and finishes with one sentinel per queue. Each dispatcher
-/// drains its own queue only. Dispatchers poll a *bounded* number of
-/// times (the idiom from model 2: polling models the channel wait while
-/// keeping the search space finite); whatever a dispatcher did not get
-/// to is drained afterwards from its queue, so the accounting below
-/// still covers every item under every schedule.
+/// Mirror of push delivery into one per-dispatcher queue (the queue a
+/// key hashes to under `DispatchRouting::KeyAffinity`): transports run
+/// the ORB's frame handler on whichever thread holds a frame, so two
+/// deliverers — two connections' reader threads, or two netsim senders —
+/// push into the same queue concurrently. Each deliverer checks the
+/// ORB's shutdown flag and, if it is clear, pushes its frame
+/// (`Orb::deliver_frame` → `handle_frame`). Concurrently `Orb::shutdown`
+/// flips the flag and queues the sentinel. The dispatcher pops until it
+/// sees the sentinel; it polls a *bounded* number of times (the idiom
+/// from model 2), and whatever it did not get to is drained afterwards,
+/// so the accounting covers every item under every schedule.
 ///
-/// Invariants, under every interleaving of the producer's flush and two
-/// concurrently draining dispatchers:
-/// * every item is consumed exactly once — the sum over both drain logs
-///   is exactly the burst, no duplicate, no loss;
-/// * an item is only ever drained by the dispatcher its key hashes to
-///   (`key % queues`, mirroring `DispatchRouting::KeyAffinity`);
-/// * items sharing a key are drained in production order (the per-key
-///   FIFO guarantee that makes key affinity a semantic feature);
-/// * a dispatcher that observes the sentinel has already drained every
-///   work item of its queue — the sentinel can never overtake work.
+/// Invariants, under every interleaving of the two deliverers, the
+/// shutdown and the dispatcher:
+/// * every frame is accounted exactly once: dropped by the shutdown
+///   check, executed by the dispatcher, or stranded behind the sentinel
+///   (whose caller the ORB fails with a typed error) — never two of
+///   these, never none;
+/// * per-sender FIFO: frames one deliverer pushed are executed in the
+///   order it pushed them;
+/// * the sentinel never overtakes work: when the dispatcher pops it,
+///   every frame queued before it has already been executed.
+/// `Orb::deliver_frame` in miniature: drop the frame once shutdown
+/// started, else hand it to its dispatcher's queue.
+fn deliver(
+    sender: u64,
+    seq: u64,
+    queue: &Mutex<VecDeque<Cmd>>,
+    shut: &AtomicBool,
+    dropped: &Mutex<Vec<(u64, u64)>>,
+) {
+    if shut.load(Ordering::SeqCst) {
+        dropped.lock().push((sender, seq));
+    } else {
+        queue.lock().push_back(Cmd::Work { sender, seq });
+    }
+}
+
 #[test]
 fn dispatch_queue_handoff_is_exactly_once_in_key_order() {
-    const QUEUES: usize = 2;
-    const POLLS: usize = 4;
+    const POLLS: usize = 5;
     let report = Builder::new()
         .preemption_bound(3)
         .check_result(|| {
-            let queues: Arc<Vec<Mutex<VecDeque<Cmd>>>> =
-                Arc::new((0..QUEUES).map(|_| Mutex::new(VecDeque::new())).collect());
-            // Per-dispatcher drain logs plus a saw-the-sentinel flag.
-            let logs: Arc<Vec<Mutex<(Vec<(u64, u64)>, bool)>>> =
-                Arc::new((0..QUEUES).map(|_| Mutex::new((Vec::new(), false))).collect());
-
-            let drain = |i: usize, queues: &[Mutex<VecDeque<Cmd>>], logs: &[Mutex<(Vec<(u64, u64)>, bool)>]| {
-                for _ in 0..POLLS {
-                    let cmd = queues[i].lock().pop_front();
-                    match cmd {
-                        Some(Cmd::Work { key, seq }) => logs[i].lock().0.push((key, seq)),
-                        Some(Cmd::Shutdown) => {
-                            logs[i].lock().1 = true;
-                            break;
-                        }
-                        None => thread::yield_now(),
-                    }
-                }
-            };
-
-            // Producer (the receive loop): one burst of four frames on
-            // two keys, staged into buckets then flushed per queue as a
-            // batch, then one sentinel per queue.
-            let producer = {
-                let queues = Arc::clone(&queues);
+            let queue: Arc<Mutex<VecDeque<Cmd>>> = Arc::new(Mutex::new(VecDeque::new()));
+            let shut = Arc::new(AtomicBool::new(false));
+            let dropped = Arc::new(Mutex::new(Vec::new()));
+            // Deliverer 0: two frames from one sender, in order.
+            let d0 = {
+                let (queue, shut) = (Arc::clone(&queue), Arc::clone(&shut));
+                let dropped = Arc::clone(&dropped);
                 thread::spawn(move || {
-                    let burst = [(0u64, 0u64), (1, 1), (0, 2), (1, 3)]
-                        .map(|(key, seq)| Cmd::Work { key, seq });
-                    let mut buckets: Vec<Vec<Cmd>> = (0..QUEUES).map(|_| Vec::new()).collect();
-                    for cmd in burst {
-                        let Cmd::Work { key, .. } = cmd else { unreachable!() };
-                        buckets[(key % QUEUES as u64) as usize].push(cmd);
-                    }
-                    for (i, bucket) in buckets.into_iter().enumerate() {
-                        if !bucket.is_empty() {
-                            queues[i].lock().extend(bucket);
-                        }
-                    }
-                    for q in queues.iter() {
-                        q.lock().push_back(Cmd::Shutdown);
-                    }
+                    deliver(0, 0, &queue, &shut, &dropped);
+                    deliver(0, 1, &queue, &shut, &dropped);
+                })
+            };
+            // Deliverer 1: one frame, then this thread shuts the ORB
+            // down (flag first, then the sentinel — `Orb::shutdown`).
+            let d1 = {
+                let (queue, shut) = (Arc::clone(&queue), Arc::clone(&shut));
+                let dropped = Arc::clone(&dropped);
+                thread::spawn(move || {
+                    deliver(1, 0, &queue, &shut, &dropped);
+                    shut.store(true, Ordering::SeqCst);
+                    queue.lock().push_back(Cmd::Shutdown);
                 })
             };
 
-            // Dispatcher 0 on its own thread; this thread doubles as
-            // dispatcher 1 (their queues are disjoint, so only the
-            // producer↔dispatcher race matters, and two spawned threads
-            // would only inflate the search space).
-            let d0 = {
-                let queues = Arc::clone(&queues);
-                let logs = Arc::clone(&logs);
-                thread::spawn(move || drain(0, &queues, &logs))
-            };
-            drain(1, &queues, &logs);
-            producer.join();
-            d0.join();
-
-            // Post-run: finish what the bounded polls left behind, then
-            // account for everything.
-            let mut consumed: Vec<(u64, u64)> = Vec::new();
-            for (i, log) in logs.iter().enumerate() {
-                let mut log = log.lock();
-                let mut q = queues[i].lock();
-                if log.1 {
-                    // The producer enqueues the sentinel after all of the
-                    // queue's work; FIFO means popping it implies the
-                    // queue is already fully drained.
-                    assert!(q.is_empty(), "sentinel overtook work on queue {i}: {q:?}");
-                }
-                while let Some(cmd) = q.pop_front() {
-                    if let Cmd::Work { key, seq } = cmd {
-                        log.0.push((key, seq));
+            // The dispatcher, on this thread.
+            let mut executed: Vec<(u64, u64)> = Vec::new();
+            let mut saw_sentinel = false;
+            for _ in 0..POLLS {
+                let cmd = queue.lock().pop_front();
+                match cmd {
+                    Some(Cmd::Work { sender, seq }) => executed.push((sender, seq)),
+                    Some(Cmd::Shutdown) => {
+                        saw_sentinel = true;
+                        break;
                     }
-                }
-                for &(key, seq) in log.0.iter() {
-                    assert_eq!(
-                        (key % QUEUES as u64) as usize,
-                        i,
-                        "item (key={key}, seq={seq}) landed on the wrong dispatcher {i}"
-                    );
-                    consumed.push((key, seq));
-                }
-                // Per-key order within one dispatcher's drain log.
-                for key in 0..2u64 {
-                    let seqs: Vec<u64> =
-                        log.0.iter().filter(|(k, _)| *k == key).map(|&(_, s)| s).collect();
-                    assert!(
-                        seqs.windows(2).all(|w| w[0] < w[1]),
-                        "key {key} drained out of order: {seqs:?}"
-                    );
+                    None => thread::yield_now(),
                 }
             }
-            consumed.sort_unstable();
-            assert_eq!(
-                consumed,
-                vec![(0, 0), (0, 2), (1, 1), (1, 3)],
-                "every item must be consumed exactly once"
-            );
+            d0.join();
+            d1.join();
+
+            // Post-run: split what is left into work the dispatcher had
+            // yet to reach (ahead of the sentinel) and work stranded
+            // behind it.
+            let rest: Vec<Cmd> = queue.lock().drain(..).collect();
+            let mut stranded = Vec::new();
+            let mut behind = saw_sentinel;
+            for cmd in rest {
+                match cmd {
+                    Cmd::Work { sender, seq } if behind => stranded.push((sender, seq)),
+                    Cmd::Work { sender, seq } => {
+                        assert!(!saw_sentinel, "sentinel overtook work ({sender}, {seq})");
+                        executed.push((sender, seq));
+                    }
+                    Cmd::Shutdown => {
+                        assert!(!behind, "one sentinel per dispatcher");
+                        behind = true;
+                    }
+                }
+            }
+            assert!(behind, "the sentinel is always queued");
+
+            let dropped = dropped.lock().clone();
+            let mut all: Vec<(u64, u64)> =
+                executed.iter().chain(&stranded).chain(&dropped).copied().collect();
+            all.sort_unstable();
+            assert_eq!(all, vec![(0, 0), (0, 1), (1, 0)], "every frame accounted exactly once");
+            let from0: Vec<u64> =
+                executed.iter().filter(|(s, _)| *s == 0).map(|&(_, seq)| seq).collect();
+            assert!(from0.windows(2).all(|w| w[0] < w[1]), "sender 0 out of order: {from0:?}");
+            // Only a frame whose delivery raced the shutdown can strand:
+            // sender 1 delivered before it shut down, so its frame never does.
+            assert!(!stranded.contains(&(1, 0)), "a frame queued before the sentinel stranded");
+            assert!(!dropped.contains(&(1, 0)), "a frame delivered before shutdown was dropped");
         })
-        .expect("sharded dispatch handoff must be exactly-once under every schedule");
+        .expect("push delivery into a dispatch queue must be exactly-once under every schedule");
     assert!(report.complete, "search space must be exhausted");
 }

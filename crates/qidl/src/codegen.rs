@@ -292,8 +292,8 @@ impl Generator<'_> {
         self.line(&format!("impl {} {{", e.name));
         self.line("    /// Wire form used inside `OrbError::UserException`.");
         self.line("    pub fn to_orb_error(&self) -> OrbError {");
-        let mut detail = format!("{}", e.name);
-        detail.push_str("(");
+        let mut detail = e.name.to_string();
+        detail.push('(');
         let parts: Vec<String> = e.fields.iter().map(|(f, _)| format!("{f}={{:?}}")).collect();
         detail.push_str(&parts.join(", "));
         detail.push(')');

@@ -18,84 +18,153 @@ pub mod codec {
     /// Magic prefix of compressed buffers.
     pub const MAGIC: &[u8; 4] = b"MLZ1";
 
+    use std::cell::RefCell;
+
     const WINDOW: usize = 4096;
     const MIN_MATCH: usize = 4;
     const MAX_MATCH: usize = 255;
+    /// Candidates visited per position.
+    const CHAIN: usize = 16;
+    const HASH_BITS: u32 = 13;
+    /// `prev` is a ring over input positions: the match finder only ever
+    /// follows a link out of a position inside the window, and a slot is
+    /// overwritten only by a position `RING` later — out of the window.
+    const RING: usize = 2 * WINDOW;
+    const NONE: u32 = u32::MAX;
 
-    /// Compress `input`.
+    /// Match-finder tables, reused by every call on a thread. A `head`
+    /// entry packs the call's epoch (high half) with a position (low
+    /// half), so a new call invalidates the table by bumping the epoch
+    /// instead of refilling 8192 slots. `prev` needs no reset: a slot is
+    /// written when its position is inserted, before any walk reads it.
+    struct Tables {
+        epoch: u32,
+        head: Vec<u64>,
+        prev: Vec<u32>,
+    }
+
+    thread_local! {
+        static TABLES: RefCell<Tables> = RefCell::new(Tables {
+            epoch: 0,
+            head: vec![0; 1 << HASH_BITS],
+            prev: vec![NONE; RING],
+        });
+    }
+
+    fn hash(input: &[u8], at: usize) -> usize {
+        let v = u32::from_le_bytes([input[at], input[at + 1], input[at + 2], input[at + 3]]);
+        (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+    }
+
+    /// Length of the common prefix of `input[a..]` and `input[b..]`, up
+    /// to `max` (`b + max` must be in bounds), compared 8 bytes a step.
+    fn match_len(input: &[u8], a: usize, b: usize, max: usize) -> usize {
+        let word = |at: usize| {
+            let w: [u8; 8] = input[at..at + 8].try_into().expect("8-byte window");
+            u64::from_le_bytes(w)
+        };
+        let mut l = 0;
+        while l + 8 <= max {
+            let diff = word(a + l) ^ word(b + l);
+            if diff != 0 {
+                return l + (diff.trailing_zeros() / 8) as usize;
+            }
+            l += 8;
+        }
+        while l < max && input[a + l] == input[b + l] {
+            l += 1;
+        }
+        l
+    }
+
+    fn emit_literals(out: &mut Vec<u8>, lits: &[u8]) {
+        for run in lits.chunks(u16::MAX as usize) {
+            out.push(0x00);
+            out.extend_from_slice(&(run.len() as u16).to_le_bytes());
+            out.extend_from_slice(run);
+        }
+    }
+
+    /// Compress `input` (below 4 GiB; wire frames are capped far lower).
     ///
     /// Output layout: `MAGIC`, then a token stream. Token first byte:
     /// `0x00, len(u16 le), bytes` = literal run; `0x01, dist(u16 le),
     /// len(u8)` = back-reference. Incompressible inputs grow by at most a
     /// few bytes per 64 KiB literal run plus the 4-byte magic.
+    ///
+    /// The parse is greedy: at each position the longest match among the
+    /// 16 most recent candidates sharing its 4-byte hash (within a
+    /// 4096-byte window, 4–255 bytes, earliest wins a tie), else one
+    /// literal. The output is pinned byte for byte by a golden test.
     pub fn compress(input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        out.extend_from_slice(MAGIC);
-        // Chained hash table over 4-byte prefixes for match finding.
-        let mut head = vec![usize::MAX; 1 << 13];
-        let mut prev = vec![usize::MAX; input.len().max(1)];
-        let hash = |w: &[u8]| -> usize {
-            let v = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            (v.wrapping_mul(2654435761) >> 19) as usize & ((1 << 13) - 1)
-        };
-        let mut literals: Vec<u8> = Vec::new();
-        let flush_literals = |out: &mut Vec<u8>, lits: &mut Vec<u8>| {
-            let mut start = 0;
-            while start < lits.len() {
-                let run = (lits.len() - start).min(u16::MAX as usize);
-                out.push(0x00);
-                out.extend_from_slice(&(run as u16).to_le_bytes());
-                out.extend_from_slice(&lits[start..start + run]);
-                start += run;
+        assert!(input.len() < NONE as usize, "compress: input of {} bytes", input.len());
+        TABLES.with(|tables| {
+            let mut tables = tables.borrow_mut();
+            let Tables { epoch, head, prev } = &mut *tables;
+            *epoch = epoch.wrapping_add(1);
+            if *epoch == 0 {
+                head.fill(0);
+                *epoch = 1;
             }
-            lits.clear();
-        };
-        let mut i = 0;
-        while i < input.len() {
-            let mut best_len = 0;
-            let mut best_dist = 0;
-            if i + MIN_MATCH <= input.len() {
-                let h = hash(&input[i..i + 4]);
-                let mut cand = head[h];
-                let mut chain = 0;
-                while cand != usize::MAX && i - cand <= WINDOW && chain < 16 {
-                    let mut l = 0;
+            let tag = u64::from(*epoch) << 32;
+            // Make `at` the newest position for its hash; returns the one
+            // it displaced (this call's only), which becomes its link.
+            let insert = |head: &mut [u64], prev: &mut [u32], at: usize| -> u32 {
+                let h = hash(input, at);
+                let last = head[h];
+                head[h] = tag | at as u64;
+                let last = if last & !0xffff_ffff == tag { last as u32 } else { NONE };
+                prev[at % RING] = last;
+                last
+            };
+            let mut out = Vec::with_capacity(input.len() / 2 + 16);
+            out.extend_from_slice(MAGIC);
+            let mut lit_start = 0;
+            let mut i = 0;
+            while i < input.len() {
+                let mut best_len = 0;
+                let mut best_dist = 0;
+                if i + MIN_MATCH <= input.len() {
                     let max = (input.len() - i).min(MAX_MATCH);
-                    while l < max && input[cand + l] == input[i + l] {
-                        l += 1;
+                    let mut cand = insert(head, prev, i);
+                    let mut chain = 0;
+                    while cand != NONE && i - cand as usize <= WINDOW && chain < CHAIN {
+                        let c = cand as usize;
+                        // Only a candidate that also matches at
+                        // `best_len` can be strictly longer.
+                        if best_len == 0 || input[c + best_len] == input[i + best_len] {
+                            let l = match_len(input, c, i, max);
+                            if l > best_len {
+                                best_len = l;
+                                best_dist = i - c;
+                                if l == max {
+                                    break;
+                                }
+                            }
+                        }
+                        cand = prev[c % RING];
+                        chain += 1;
                     }
-                    if l > best_len {
-                        best_len = l;
-                        best_dist = i - cand;
+                }
+                if best_len >= MIN_MATCH {
+                    emit_literals(&mut out, &input[lit_start..i]);
+                    out.push(0x01);
+                    out.extend_from_slice(&(best_dist as u16).to_le_bytes());
+                    out.push(best_len as u8);
+                    // Insert hash entries for the matched region (cheap, coarse).
+                    let end = i + best_len;
+                    for j in i + 1..end.min(input.len().saturating_sub(3)) {
+                        insert(head, prev, j);
                     }
-                    cand = prev[cand];
-                    chain += 1;
+                    i = end;
+                    lit_start = i;
+                } else {
+                    i += 1;
                 }
-                prev[i] = head[h];
-                head[h] = i;
             }
-            if best_len >= MIN_MATCH {
-                flush_literals(&mut out, &mut literals);
-                out.push(0x01);
-                out.extend_from_slice(&(best_dist as u16).to_le_bytes());
-                out.push(best_len as u8);
-                // Insert hash entries for the matched region (cheap, coarse).
-                let end = i + best_len;
-                let mut j = i + 1;
-                while j + 4 <= input.len() && j < end {
-                    let h = hash(&input[j..j + 4]);
-                    prev[j] = head[h];
-                    head[h] = j;
-                    j += 1;
-                }
-                i = end;
-            } else {
-                literals.push(input[i]);
-                i += 1;
-            }
-        }
-        flush_literals(&mut out, &mut literals);
-        out
+            emit_literals(&mut out, &input[lit_start..]);
+            out
+        })
     }
 
     /// Decompress a buffer produced by [`compress`].
@@ -133,10 +202,15 @@ pub mod codec {
                     if dist == 0 || dist > out.len() {
                         return Err(format!("bad match distance {dist}"));
                     }
-                    let start = out.len() - dist;
-                    for k in 0..len {
-                        let b = out[start + k];
-                        out.push(b);
+                    // An overlapping match (len > dist) repeats the last
+                    // `dist` bytes: copy it in period-sized chunks.
+                    let mut from = out.len() - dist;
+                    let mut left = len;
+                    while left > 0 {
+                        let n = left.min(dist);
+                        out.extend_from_within(from..from + n);
+                        from += n;
+                        left -= n;
                     }
                 }
                 t => return Err(format!("bad token {t}")),
@@ -186,6 +260,67 @@ pub mod codec {
             let mut data = vec![0u8; 70_000]; // > u16::MAX literal run
             netsim::Rng::seed_from_u64(2).fill_bytes(&mut data);
             roundtrip(&data);
+        }
+
+        /// A seeded corpus shaped like marshalled records: literal
+        /// noise, repeated field names, single-byte runs and copies of
+        /// earlier spans at distances on both sides of the window edge.
+        fn corpus() -> Vec<Vec<u8>> {
+            const WORDS: [&[u8]; 6] =
+                [b"IDL:Echo:1.0", b"operation", b"\0\0\0\x08", b"compression", b"ticker", b"qos"];
+            let mut rng = netsim::Rng::seed_from_u64(0x4d4c_5a31);
+            let mut cases = Vec::new();
+            for case in 0..160u64 {
+                let len = match case % 16 {
+                    0 => (rng.next_u64() % 24_000) as usize,
+                    _ => (rng.next_u64() % 5_000) as usize,
+                };
+                let mut data: Vec<u8> = Vec::with_capacity(len + 300);
+                while data.len() < len {
+                    match rng.next_u64() % 4 {
+                        0 => {
+                            for _ in 0..1 + rng.next_u64() % 32 {
+                                data.push(rng.next_u64() as u8);
+                            }
+                        }
+                        1 => data.extend_from_slice(WORDS[(rng.next_u64() % 6) as usize]),
+                        2 if !data.is_empty() => {
+                            let dist = 1 + (rng.next_u64() % 4_200) as usize;
+                            let start = data.len().saturating_sub(dist);
+                            let n = 3 + (rng.next_u64() % 300) as usize;
+                            for k in 0..n {
+                                data.push(data[start + k]);
+                            }
+                        }
+                        _ => {
+                            let b = rng.next_u64() as u8;
+                            data.extend(std::iter::repeat_n(b, 1 + (rng.next_u64() % 80) as usize));
+                        }
+                    }
+                }
+                data.truncate(len);
+                cases.push(data);
+            }
+            cases
+        }
+
+        /// The exact compressed bytes are pinned: a faster kernel must
+        /// produce the same greedy parse, so `wire_bytes_per_call` and
+        /// every peer that decodes these frames see no change.
+        #[test]
+        fn output_is_pinned_on_a_seeded_corpus() {
+            let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a 64
+            let mut total = 0usize;
+            for data in corpus() {
+                let c = compress(&data);
+                assert_eq!(decompress(&c).unwrap(), data);
+                total += c.len();
+                for b in (c.len() as u64).to_le_bytes().iter().chain(&c) {
+                    digest = (digest ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            let want = (90_372, 0x1b4d_41e1_3d57_5c52);
+            assert_eq!((total, digest), want, "compressed corpus drifted");
         }
 
         #[test]
@@ -382,7 +517,7 @@ mod tests {
 
         // First: uncompressed baseline.
         let payload = Any::Bytes(b"data ".repeat(2000)); // highly compressible
-        client.invoke(&ior, "echo", &[payload.clone()]).unwrap();
+        client.invoke(&ior, "echo", std::slice::from_ref(&payload)).unwrap();
         let plain_bytes = net.stats().link(client.node(), server.node()).bytes_delivered;
 
         // Now bind the compression module on both sides.
@@ -393,7 +528,7 @@ mod tests {
             .bind(BindingKey { peer: None, key: ior.key.clone() }, COMPRESSION_MODULE)
             .unwrap();
         let qos = Some(QosContext::new("compression"));
-        let reply = client.invoke_qos(&ior, "echo", &[payload.clone()], qos).unwrap();
+        let reply = client.invoke_qos(&ior, "echo", std::slice::from_ref(&payload), qos).unwrap();
         assert_eq!(reply, payload);
         let total = net.stats().link(client.node(), server.node()).bytes_delivered;
         let compressed_bytes = total - plain_bytes;

@@ -148,7 +148,7 @@ pub fn synthetic_hierarchy(depth: usize, branching: usize) -> ContractHierarchy 
         } else {
             let children =
                 (0..branching).map(|_| build(level - 1, branching, counter)).collect();
-            if level % 2 == 0 {
+            if level.is_multiple_of(2) {
                 ContractNode::All(children)
             } else {
                 ContractNode::Any(children)

@@ -90,7 +90,7 @@ pub use orb::PendingCall;
 pub use registry::{MediatorFactory, MediatorRegistry};
 pub use reply::Reply;
 pub use resilience::{
-    BreakerConfig, CircuitBreaker, CircuitState, FailStaticMode, ResilienceMediator,
-    ResiliencePolicy,
+    BreakerConfig, CircuitBreaker, CircuitState, CoolingDown, FailStaticMode,
+    ResilienceMediator, ResiliencePolicy,
 };
 pub use skeleton::{QosImplementation, RequestObserver, WovenServant};

@@ -87,6 +87,11 @@ impl Default for BreakerConfig {
 /// A `(from, to)` state change, reported so callers can count and log it.
 pub type Transition = (CircuitState, CircuitState);
 
+/// Why [`CircuitBreaker::admit`] refused a call: the circuit is open and
+/// its cooldown has not elapsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoolingDown;
+
 struct BreakerInner {
     state: CircuitState,
     consecutive: u32,
@@ -136,7 +141,7 @@ impl CircuitBreaker {
 
     /// Ask to admit one call. `Ok` admits (with the Open→HalfOpen
     /// transition if the cooldown just elapsed); `Err` rejects.
-    pub fn admit(&self) -> Result<Option<Transition>, ()> {
+    pub fn admit(&self) -> Result<Option<Transition>, CoolingDown> {
         let mut st = self.inner.lock();
         match st.state {
             CircuitState::Closed | CircuitState::HalfOpen => Ok(None),
@@ -148,7 +153,7 @@ impl CircuitBreaker {
                     st.trial_successes = 0;
                     Ok(Some((CircuitState::Open, CircuitState::HalfOpen)))
                 } else {
-                    Err(())
+                    Err(CoolingDown)
                 }
             }
         }
@@ -505,7 +510,7 @@ impl Mediator for ResilienceMediator {
         }
 
         match self.breaker.admit() {
-            Err(()) => {
+            Err(CoolingDown) => {
                 self.incr("resilience.circuit.rejected");
                 return Err(OrbError::CircuitOpen(format!(
                     "circuit open for `{}` (cooldown {:?})",
@@ -600,7 +605,7 @@ mod tests {
         assert!(b.on_failure().is_none());
         assert!(b.on_failure().is_none());
         assert_eq!(b.on_failure(), Some((CircuitState::Closed, CircuitState::Open)));
-        assert_eq!(b.admit(), Err(())); // still cooling
+        assert_eq!(b.admit(), Err(CoolingDown)); // still cooling
         std::thread::sleep(Duration::from_millis(2));
         assert_eq!(b.admit(), Ok(Some((CircuitState::Open, CircuitState::HalfOpen))));
         assert_eq!(b.on_success(), Some((CircuitState::HalfOpen, CircuitState::Closed)));

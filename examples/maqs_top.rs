@@ -144,8 +144,8 @@ fn attach(target: &str) {
         .find(|(n, _)| n == "orb.dispatch_us")
         .map_or_else(|| "n/a".to_string(), |(_, h)| quantile_line(h));
     println!(
-        "{:<8} {:>9} {:>8} {:>7}  {}",
-        "node", "handled", "dropped", "events", "dispatch latency"
+        "{:<8} {:>9} {:>8} {:>7}  dispatch latency",
+        "node", "handled", "dropped", "events"
     );
     println!(
         "{:<8} {:>9} {:>8} {:>7}  {}",
@@ -335,8 +335,8 @@ fn main() {
 
         println!("\n--- frame {frame}/3 ---");
         println!(
-            "{:<6} {:>9} {:>8} {:>7} {:>7}  {}",
-            "node", "handled", "dropped", "events", "dumps", "dispatch latency"
+            "{:<6} {:>9} {:>8} {:>7} {:>7}  dispatch latency",
+            "node", "handled", "dropped", "events", "dumps"
         );
         for (name, node) in servers {
             // All three panes come over the wire: GIOP request in, Any out.

@@ -29,7 +29,7 @@ struct Inventory {
 }
 
 impl Inventory {
-    fn new() -> Arc<dyn Servant> {
+    fn servant() -> Arc<dyn Servant> {
         Arc::new(Inventory { items: Mutex::new(HashMap::new()) })
     }
 }
@@ -100,7 +100,7 @@ fn setup() -> (Network, MaqsNode, MaqsNode, Ior) {
     let ior = server
         .serve(
             "inv",
-            Inventory::new(),
+            Inventory::servant(),
             ServeOptions::interface("Inventory")
                 .qos_impl(Arc::new(ReplicationQosImpl::new()))
                 .qos_impl(Arc::new(FreshnessStampQosImpl::new())),
@@ -270,7 +270,8 @@ fn state_transfer_round_trips_complex_state() {
     assert_eq!(state.as_sequence().unwrap().len(), 2);
 
     // A second woven inventory on the server node, initialized from it.
-    let ior2 = server.serve("inv2", Inventory::new(), ServeOptions::interface("Inventory")).unwrap();
+    let ior2 =
+        server.serve("inv2", Inventory::servant(), ServeOptions::interface("Inventory")).unwrap();
     groupcomm::transfer_state(orb, &ior, &ior2).unwrap();
     assert_eq!(orb.invoke(&ior2, "count", &[Any::from("b")]).unwrap(), Any::LongLong(2));
     server.shutdown();

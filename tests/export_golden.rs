@@ -101,7 +101,7 @@ fn chrome_trace_from_a_real_roundtrip_matches_the_schema() {
 
     client.orb().flight().flush();
     let flight = client.orb().flight().snapshot();
-    let json = chrome_trace_json(&[trace.clone()], &flight);
+    let json = chrome_trace_json(std::slice::from_ref(&trace), &flight);
     server.shutdown();
     client.shutdown();
 

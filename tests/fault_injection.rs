@@ -64,13 +64,13 @@ fn failover_survives_sequential_crashes_until_last_replica() {
     let stub = ClientStub::new(client.clone(), iors[0].clone());
     stub.set_mediator(mediator.clone());
 
-    for killed in 0..orbs.len() {
+    for (killed, orb) in orbs.iter().enumerate() {
         assert_eq!(
             stub.invoke("get", &[]).unwrap(),
             Any::LongLong(7),
             "after {killed} crashes"
         );
-        net.crash(orbs[killed].node());
+        net.crash(orb.node());
     }
     // All dead: now it must fail.
     assert!(stub.invoke("get", &[]).is_err());

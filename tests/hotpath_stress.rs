@@ -48,7 +48,7 @@ fn run_lane(client: &Orb, ior: &orb::Ior, lane: u64) -> u64 {
         } else {
             Any::Long(v as i32)
         };
-        let r = client.invoke(ior, "echo", &[arg.clone()]).expect("echo under load");
+        let r = client.invoke(ior, "echo", std::slice::from_ref(&arg)).expect("echo under load");
         assert_eq!(r, arg, "lane {lane} call {i}: reply must echo the request");
         sum = sum.wrapping_add(v).wrapping_add(match r {
             Any::Long(x) => x as u32 as u64,

@@ -21,7 +21,7 @@ const SPEC: &str = r#"
 
 struct Store(Mutex<HashMap<String, i64>>);
 impl Store {
-    fn new() -> Arc<dyn Servant> {
+    fn servant() -> Arc<dyn Servant> {
         Arc::new(Store(Mutex::new(HashMap::new())))
     }
 }
@@ -52,7 +52,7 @@ fn setup(replication_capacity: usize) -> (Network, MaqsNode, MaqsNode, Ior) {
     let ior = server
         .serve(
             "store",
-            Store::new(),
+            Store::servant(),
             ServeOptions::interface("Store")
                 .qos_impl(Arc::new(ReplicationQosImpl::new()))
                 .qos_impl(Arc::new(FreshnessStampQosImpl::new()))
@@ -196,14 +196,14 @@ fn all_contract_combines_characteristics_across_objects() {
     let _a = server
         .serve(
             "store-a",
-            Store::new(),
+            Store::servant(),
             ServeOptions::interface("Store").qos_impl(Arc::new(ReplicationQosImpl::new())),
         )
         .unwrap();
     let _b = server
         .serve(
             "store-b",
-            Store::new(),
+            Store::servant(),
             ServeOptions::interface("Store").qos_impl(Arc::new(FreshnessStampQosImpl::new())),
         )
         .unwrap();
@@ -227,7 +227,7 @@ fn offers_reflect_installed_implementations_only() {
     server
         .serve(
             "store",
-            Store::new(),
+            Store::servant(),
             ServeOptions::interface("Store").qos_impl(Arc::new(FreshnessStampQosImpl::new())),
         )
         .unwrap();

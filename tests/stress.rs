@@ -90,7 +90,7 @@ fn large_payload_roundtrips_plain_and_compressed() {
     let ior = server.activate_with_tags("echo", Box::new(Echo), &["Compression"]);
 
     let blob = Any::Bytes((0..1_000_000u32).map(|i| (i % 251) as u8).collect());
-    let r = client.invoke(&ior, "echo", &[blob.clone()]).unwrap();
+    let r = client.invoke(&ior, "echo", std::slice::from_ref(&blob)).unwrap();
     assert_eq!(r, blob);
 
     client.qos_transport().install(Arc::new(CompressionModule::new()));
@@ -100,7 +100,7 @@ fn large_payload_roundtrips_plain_and_compressed() {
         .bind(BindingKey { peer: None, key: ior.key.clone() }, COMPRESSION_MODULE)
         .unwrap();
     let r = client
-        .invoke_qos(&ior, "echo", &[blob.clone()], Some(QosContext::new("Compression")))
+        .invoke_qos(&ior, "echo", std::slice::from_ref(&blob), Some(QosContext::new("Compression")))
         .unwrap();
     assert_eq!(r, blob);
     server.shutdown();

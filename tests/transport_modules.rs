@@ -137,7 +137,12 @@ fn end_to_end_encrypted_channel_with_key_agreement() {
         .unwrap();
     let secret = Any::Str("top secret".into());
     let reply = client
-        .invoke_qos(&ior, "echo", &[secret.clone()], Some(QosContext::new("Encryption")))
+        .invoke_qos(
+            &ior,
+            "echo",
+            std::slice::from_ref(&secret),
+            Some(QosContext::new("Encryption")),
+        )
         .unwrap();
     assert_eq!(reply, secret);
     server.shutdown();
